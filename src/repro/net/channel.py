@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 import math
 import random
-from typing import Dict, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.net.packet import Frame
@@ -75,6 +75,34 @@ class BernoulliLoss(LossModel):
         return rngs.get(f"loss/{receiver}").random() < self.p
 
 
+class _LinkStreams:
+    """The registry stream of each directed link, resolved once per link.
+
+    ``get`` returns the very object ``rngs.get(f"{prefix}/{s}-{r}")`` does,
+    so every draw is unchanged; the cache only skips the per-delivery name
+    formatting and registry lookup.  Handing in a different registry (a
+    model reused across runs) drops the cache.
+    """
+
+    __slots__ = ("prefix", "_rngs", "_by_link")
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self._rngs: Optional[RngRegistry] = None
+        self._by_link: Dict[Tuple[int, int], random.Random] = {}
+
+    def get(self, rngs: RngRegistry, sender: int, receiver: int) -> random.Random:
+        if rngs is not self._rngs:
+            self._rngs = rngs
+            self._by_link = {}
+        link = (sender, receiver)
+        stream = self._by_link.get(link)
+        if stream is None:
+            stream = rngs.get(f"{self.prefix}/{sender}-{receiver}")
+            self._by_link[link] = stream
+        return stream
+
+
 class PerLinkLoss(LossModel):
     """Per-directed-link drop probabilities (from a propagation model).
 
@@ -90,6 +118,7 @@ class PerLinkLoss(LossModel):
                 raise ConfigError(f"loss probability {p} for link {link} outside [0, 1]")
         self.loss_map = loss_map
         self.default = default
+        self._streams = _LinkStreams("loss")
 
     def should_drop(
         self, rngs: RngRegistry, sender: int, receiver: int, frame: Frame, time: float
@@ -99,7 +128,7 @@ class PerLinkLoss(LossModel):
             return False
         if p >= 1.0:
             return True
-        return rngs.get(f"loss/{sender}-{receiver}").random() < p
+        return self._streams.get(rngs, sender, receiver).random() < p
 
 
 class GilbertElliottLoss(LossModel):
@@ -130,6 +159,7 @@ class GilbertElliottLoss(LossModel):
         self.mean_bad = mean_bad
         # (state, time at which the current state expires) per link
         self._state: Dict[Tuple[int, int], Tuple[bool, float]] = {}
+        self._streams = _LinkStreams("ge")
 
     def _advance(self, rng: random.Random, link: Tuple[int, int], time: float) -> bool:
         """Return True when the link is in the BAD state at ``time``."""
@@ -144,9 +174,8 @@ class GilbertElliottLoss(LossModel):
     def should_drop(
         self, rngs: RngRegistry, sender: int, receiver: int, frame: Frame, time: float
     ) -> bool:
-        link = (sender, receiver)
-        rng = rngs.get(f"ge/{sender}-{receiver}")
-        bad = self._advance(rng, link, time)
+        rng = self._streams.get(rngs, sender, receiver)
+        bad = self._advance(rng, (sender, receiver), time)
         p = self.loss_bad if bad else self.loss_good
         return rng.random() < p
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -82,7 +83,7 @@ class Radio:
         self._sending: Dict[int, bool] = {}
         self._backoffs: Dict[int, int] = {}
         self._active: List[_Transmission] = []
-        self._history: List[_Transmission] = []
+        self._history: Deque[_Transmission] = deque()
         self._detached: Set[int] = set()
         self._links_down: Set[Tuple[int, int]] = set()
         # Fault hook: may rewrite a frame per delivery (corruption) or return
@@ -198,7 +199,7 @@ class Radio:
             # but concurrent senders never interfere.
             return False
         now = self.sim.now
-        audible = set(self.topology.neighbors.get(node_id, ()))
+        audible = self.topology.neighbors.get(node_id, ())
         for tx in self._active:
             if tx.end > now and (tx.sender == node_id or tx.sender in audible):
                 return True
@@ -246,48 +247,42 @@ class Radio:
 
     def _finish(self, tx: _Transmission) -> None:
         self._active.remove(tx)
+        overlapping: Optional[List[int]] = None
+        if self.config.collisions:
+            # Senders of every other transmission that shared the air with
+            # this frame, gathered once and shared by all its receivers.
+            # Duplicates are harmless: receivers only test membership.
+            overlapping = []
+            for other in chain(self._active, self._history):
+                if (other.sender != tx.sender and other.end > tx.start
+                        and other.start < tx.end):
+                    overlapping.append(other.sender)
+            # Live horizon: a frame still on the air (or yet to start) can
+            # only overlap a transmission ending after the earliest start on
+            # the air.  ``_active`` is in start order and the history in end
+            # order, so the horizon is the head and the dead part a prefix.
+            history = self._history
+            history.append(tx)
+            horizon = self._active[0].start if self._active else self.sim.now
+            while history and history[0].end <= horizon:
+                history.popleft()
         if tx.aborted:
+            # The truncated waveform jammed the channel (it stays in the
+            # history above) but decodes at nobody.
             self.trace.count("tx_aborted")
             return
         self._sending[tx.sender] = False
-        if self.config.collisions:
-            self._history.append(tx)
-            self._prune_history(tx.start)
         for receiver in self.neighbors(tx.sender):
-            self._attempt_delivery(tx, receiver)
+            self._attempt_delivery(tx, receiver, overlapping)
         self._pump(tx.sender)
 
-    def _prune_history(self, horizon: float) -> None:
-        if len(self._history) > 256:
-            self._history = [t for t in self._history if t.end >= horizon]
-
-    def _overlaps(self, tx: _Transmission, receiver: int) -> bool:
-        """Did another audible transmission overlap ``tx`` at ``receiver``?"""
-        audible = set(self.topology.neighbors.get(receiver, ()))
-        for other in self._active + self._history:
-            if other is tx or other.sender == tx.sender:
-                continue
-            if other.end <= tx.start or other.start >= tx.end:
-                continue
-            if other.sender in audible or other.sender == receiver:
-                return True
-        return False
-
-    def _was_transmitting(self, node_id: int, tx: _Transmission) -> bool:
-        for other in self._active + self._history:
-            if other.sender != node_id:
-                continue
-            if other.end <= tx.start or other.start >= tx.end:
-                continue
-            return True
-        return False
-
-    def _attempt_delivery(self, tx: _Transmission, receiver: int) -> None:
+    def _attempt_delivery(self, tx: _Transmission, receiver: int,
+                          overlapping: Optional[List[int]]) -> None:
         flight = self.trace.flight
         causal = self.trace.causal
         kind = tx.frame.kind.value
-        if self.config.collisions:
-            if self._was_transmitting(receiver, tx):
+        if overlapping:
+            if receiver in overlapping:
                 self.trace.count("rx_halfduplex_miss")
                 if flight is not None:
                     flight.on_loss(self.sim.now, tx.sender, receiver,
@@ -296,7 +291,8 @@ class Radio:
                     causal.on_loss(self.sim.now, tx.sender, receiver,
                                    "halfduplex", tx.frame)
                 return
-            if self._overlaps(tx, receiver):
+            audible = self.topology.neighbors.get(receiver, ())
+            if any(sender in audible for sender in overlapping):
                 self.trace.count("rx_collision")
                 if flight is not None:
                     flight.on_loss(self.sim.now, tx.sender, receiver,

@@ -56,6 +56,31 @@ def test_per_link_uses_directed_probabilities():
     assert model.should_drop(rngs, 0, 3, frame, 0.0)
 
 
+@pytest.mark.parametrize("model, prefix", [
+    (PerLinkLoss({(0, 1): 0.5, (2, 1): 0.5}), "loss"),
+    (GilbertElliottLoss(loss_good=0.5, loss_bad=0.5), "ge"),
+])
+def test_link_stream_cache_follows_the_registry(model, prefix):
+    frame = _frame()
+    first = RngRegistry(1)
+    model.should_drop(first, 0, 1, frame, 0.0)
+    model.should_drop(first, 2, 1, frame, 0.0)
+    # The cached stream is the registry's own object for that link name.
+    assert model._streams.get(first, 0, 1) is first.get(f"{prefix}/0-1")
+    assert model._streams.get(first, 2, 1) is first.get(f"{prefix}/2-1")
+
+    # Reused with a second registry, the model draws from that registry's
+    # streams: the stale ones from the first registry are left untouched.
+    second = RngRegistry(2)
+    stale = first.get(f"{prefix}/0-1").getstate()
+    fresh = second.get(f"{prefix}/0-1").getstate()
+    for t in range(20):
+        model.should_drop(second, 0, 1, frame, t * 0.5)
+    assert first.get(f"{prefix}/0-1").getstate() == stale
+    assert second.get(f"{prefix}/0-1").getstate() != fresh
+    assert model._streams.get(second, 0, 1) is second.get(f"{prefix}/0-1")
+
+
 def test_per_link_validation():
     with pytest.raises(ConfigError):
         PerLinkLoss({(0, 1): 1.5})

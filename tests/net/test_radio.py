@@ -126,6 +126,42 @@ def test_collision_hidden_terminal():
     assert len(nodes[2].received) == 0
 
 
+@pytest.mark.parametrize("late_bytes", [20, 100])
+def test_aborted_waveform_jams_until_scheduled_end(late_bytes):
+    # Node 1 crashes 30% into a 100 B frame; hidden node 3 starts halfway
+    # through that frame's airtime.  The truncated waveform occupies the
+    # channel until its scheduled end, so node 3's frame collides at node 2
+    # whether it ends before (20 B) or after (100 B) that point.
+    sim, radio, nodes, trace = _custom_network({1: [2], 2: [1, 3], 3: [2]})
+    airtime = radio.config.airtime(100)
+    nodes[1].broadcast(FrameKind.DATA, 100, "crashed")
+    sim.schedule(0.3 * airtime, radio.detach, 1)
+    sim.schedule(0.5 * airtime,
+                 lambda: nodes[3].broadcast(FrameKind.DATA, late_bytes, "late"))
+    sim.run()
+    assert trace.counters["tx_aborted"] == 1
+    assert trace.counters.get("rx_collision", 0) == 1
+    assert nodes[2].received == []
+
+
+def test_collision_outlives_a_long_history():
+    # Node 3's short frame collides with the start of node 1's long one at
+    # node 2.  While node 1's frame is still on the air, ten isolated nodes
+    # finish 300 frames; node 3's transmission must stay on record until
+    # node 1's frame ends, however long the history grows meanwhile.
+    isolated = {i: [] for i in range(10, 20)}
+    sim, radio, nodes, trace = _custom_network({1: [2], 2: [1, 3], 3: [2], **isolated})
+    nodes[1].broadcast(FrameKind.DATA, 2000, "long")
+    nodes[3].broadcast(FrameKind.DATA, 20, "short")
+    for node_id in isolated:
+        for _ in range(30):
+            nodes[node_id].broadcast(FrameKind.DATA, 20, "filler")
+    sim.run()
+    assert radio.config.airtime(2000) > 30 * radio.config.airtime(20)
+    assert trace.counters["rx_collision"] == 2
+    assert nodes[2].received == []
+
+
 def test_half_duplex_sender_misses_concurrent_frame():
     # Node 2 cannot hear node 1 (asymmetric), so it happily transmits while
     # node 1's frame is inbound — and misses it (half-duplex).
