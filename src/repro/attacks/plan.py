@@ -1,7 +1,8 @@
 """Declarative attack plans.
 
 An :class:`AttackPlan` is an ordered list of :class:`AttackSpec` records —
-pure data, exactly like :class:`repro.faults.plan.FaultPlan`: building a plan
+pure data, exactly like :class:`repro.faults.plan.FaultPlan` (both share the
+:class:`repro.plan.Plan` container): building a plan
 performs no simulation work, so plans can be generated, merged, serialised to
 JSON (the ``--attack-plan`` CLI flag), embedded in frozen scenario
 dataclasses (stable campaign task keys), and deployed deterministically by an
@@ -17,12 +18,11 @@ node within the longest legitimate link distance).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.plan import Plan
 
 __all__ = ["AttackSpec", "AttackPlan"]
 
@@ -102,17 +102,12 @@ class AttackSpec:
         )
 
 
-class AttackPlan:
+class AttackPlan(Plan[AttackSpec]):
     """A buildable, mergeable, JSON-round-trippable list of attack specs."""
 
-    def __init__(self, specs: Iterable[AttackSpec] = ()):
-        self._specs: List[AttackSpec] = list(specs)
-
-    # -- building ------------------------------------------------------------
-
-    def add(self, spec: AttackSpec) -> "AttackPlan":
-        self._specs.append(spec)
-        return self
+    item_type = AttackSpec
+    json_key = "attacks"
+    noun = "attack"
 
     def attack(self, kind: str, start: float = 0.1, period: float = 0.5,
                stop: Optional[float] = None,
@@ -125,48 +120,7 @@ class AttackPlan:
             position=position, reach=reach, params=_frozen_params(params),
         ))
 
-    def merge(self, other: "AttackPlan") -> "AttackPlan":
-        """A new plan holding this plan's specs followed by ``other``'s."""
-        return AttackPlan(self._specs + other._specs)
-
-    # -- access --------------------------------------------------------------
-
     @property
     def specs(self) -> Tuple[AttackSpec, ...]:
         """All specs in insertion order (one attacker node each)."""
-        return tuple(self._specs)
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __iter__(self) -> Iterator[AttackSpec]:
-        return iter(self._specs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AttackPlan):
-            return NotImplemented
-        return self.specs == other.specs
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AttackPlan({len(self._specs)} attackers)"
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"attacks": [s.to_dict() for s in self._specs]},
-                          indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackPlan":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"attack plan is not valid JSON: {exc}")
-        specs = raw.get("attacks") if isinstance(raw, dict) else raw
-        if not isinstance(specs, list):
-            raise ConfigError('attack plan JSON must be {"attacks": [...]} or a list')
-        return cls(AttackSpec.from_dict(s) for s in specs)
-
-    @classmethod
-    def from_json_file(cls, path: Union[str, Path]) -> "AttackPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return self._ordered()

@@ -14,8 +14,9 @@ Two deviations from the canonical setups, both deliberate:
   damage channel is airtime contention, so the CSMA/collision model must
   run for attack results to mean anything;
 * the flight recorder and structured event log are always attached —
-  per-attacker damage attribution reads injected/delivered/auth-dropped
-  frame counts from the per-link matrix, and the invariant checker
+  per-attacker damage attribution reduces injected/delivered/auth-dropped
+  frame counts from the logged causal stream and auth drops
+  (:func:`repro.obs.analyze.link_accounting`), and the invariant checker
   (``quarantine_respected``, ``replay_never_rebuffered``) replays the log.
 
 The runner folds attribution and the invariant verdict into the returned
@@ -42,6 +43,7 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.net.channel import BernoulliLoss, LossModel, PerLinkLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import Topology, star_topology
+from repro.obs.analyze import link_accounting
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
 from repro.obs.invariants import check_events
@@ -163,16 +165,17 @@ class AdversarialRig:
         )
         if self.flight is not None:
             self.flight.finalize(self.sim.now)
-            result.counters.update(
-                _attribution(self.flight, self.engine.attacker_ids))
+            if self.log is not None:
+                result.counters.update(
+                    _attribution(self.log, self.engine.attacker_ids))
         if scenario.check_invariants and self.log is not None:
             report = check_events(self.log)
             result.counters["invariant_violations"] = len(report.violations)
         return result
 
 
-def _attribution(flight: FlightRecorder, attacker_ids: List[int]) -> Dict[str, int]:
-    """Per-attacker damage attribution from the flight-recorder link stats.
+def _attribution(log: EventLog, attacker_ids: List[int]) -> Dict[str, int]:
+    """Per-attacker damage attribution from the recorded link accounting.
 
     ``injected`` counts frames the attacker put on the air, ``delivered``
     those that actually reached a victim's radio, and ``auth_drops`` the
@@ -180,8 +183,7 @@ def _attribution(flight: FlightRecorder, attacker_ids: List[int]) -> Dict[str, i
     the difference between an attack's *volume* and its *bite*.
     """
     counters: Dict[str, int] = {}
-    tx = flight.tx_frame_counts()
-    matrix = flight.link_matrix()
+    tx, matrix = link_accounting(log.events)
     totals = {"injected": 0, "delivered": 0, "auth_drops": 0}
     for aid in sorted(attacker_ids):
         injected = tx.get(aid, 0)
@@ -234,9 +236,6 @@ def build_adversarial(
         loss = PerLinkLoss(topo.link_loss)
     radio = Radio(sim, topo, loss, rngs, trace,
                   config=RadioConfig(collisions=True))
-    if flight is not None:
-        flight.observe_radio(radio)
-
     params = make_params(
         scenario.protocol, image_size=scenario.image_size, k=scenario.k,
         n=scenario.n, kprime=scenario.kprime, timing=scenario.timing,

@@ -27,12 +27,11 @@ A base-station outage is just ``crash``/``reboot`` aimed at the base node.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.plan import Plan
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
 
@@ -123,21 +122,18 @@ class FaultEvent:
         )
 
 
-class FaultPlan:
+class FaultPlan(Plan[FaultEvent]):
     """A buildable, mergeable, JSON-round-trippable list of fault events.
 
     Events are replayed in ``(time, insertion order)`` order, matching the
     simulator's tie-breaking, so a plan fully determines the fault trace.
     """
 
-    def __init__(self, events: Iterable[FaultEvent] = ()):
-        self._events: List[FaultEvent] = list(events)
+    item_type = FaultEvent
+    json_key = "events"
+    noun = "fault"
 
     # -- building ------------------------------------------------------------
-
-    def add(self, event: FaultEvent) -> "FaultPlan":
-        self._events.append(event)
-        return self
 
     def crash(self, time: float, node: int,
               reboot_after: Optional[float] = None) -> "FaultPlan":
@@ -180,47 +176,10 @@ class FaultPlan:
             time, FaultKind.CORRUPT, duration=duration, rate=rate, mode=mode
         ))
 
-    def merge(self, other: "FaultPlan") -> "FaultPlan":
-        """A new plan holding this plan's events followed by ``other``'s."""
-        return FaultPlan(self._events + other._events)
-
-    # -- access --------------------------------------------------------------
-
     @property
     def events(self) -> Tuple[FaultEvent, ...]:
         """All events, stably sorted by time."""
-        return tuple(sorted(self._events, key=lambda e: e.time))
+        return self._ordered()
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaultPlan):
-            return NotImplemented
-        return self.events == other.events
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultPlan({len(self._events)} events)"
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"events": [e.to_dict() for e in self.events]}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"fault plan is not valid JSON: {exc}")
-        events = raw.get("events") if isinstance(raw, dict) else raw
-        if not isinstance(events, list):
-            raise ConfigError('fault plan JSON must be {"events": [...]} or a list')
-        return cls(FaultEvent.from_dict(e) for e in events)
-
-    @classmethod
-    def from_json_file(cls, path: Union[str, Path]) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+    def _ordered(self) -> Tuple[FaultEvent, ...]:
+        return tuple(sorted(self._items, key=lambda e: e.time))

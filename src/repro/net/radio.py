@@ -238,9 +238,6 @@ class Radio:
         unit = getattr(frame.payload, "unit", None)
         if unit is not None:
             self.trace.count(f"{frame.kind.metric_name}_unit_{unit}")
-        if self.trace.flight is not None:
-            self.trace.flight.on_tx(self.sim.now, node_id, frame.kind.value,
-                                    frame.size_bytes, unit)
         if self.trace.causal is not None:
             self.trace.causal.on_air(self.sim.now, frame, unit)
         self.sim.schedule(duration, self._finish, tx)
@@ -278,15 +275,10 @@ class Radio:
 
     def _attempt_delivery(self, tx: _Transmission, receiver: int,
                           overlapping: Optional[List[int]]) -> None:
-        flight = self.trace.flight
         causal = self.trace.causal
-        kind = tx.frame.kind.value
         if overlapping:
             if receiver in overlapping:
                 self.trace.count("rx_halfduplex_miss")
-                if flight is not None:
-                    flight.on_loss(self.sim.now, tx.sender, receiver,
-                                   "halfduplex", kind)
                 if causal is not None:
                     causal.on_loss(self.sim.now, tx.sender, receiver,
                                    "halfduplex", tx.frame)
@@ -294,17 +286,12 @@ class Radio:
             audible = self.topology.neighbors.get(receiver, ())
             if any(sender in audible for sender in overlapping):
                 self.trace.count("rx_collision")
-                if flight is not None:
-                    flight.on_loss(self.sim.now, tx.sender, receiver,
-                                   "collision", kind)
                 if causal is not None:
                     causal.on_loss(self.sim.now, tx.sender, receiver,
                                    "collision", tx.frame)
                 return
         if self.loss_model.should_drop(self.rngs, tx.sender, receiver, tx.frame, self.sim.now):
             self.trace.count("rx_lost")
-            if flight is not None:
-                flight.on_loss(self.sim.now, tx.sender, receiver, "channel", kind)
             if causal is not None:
                 causal.on_loss(self.sim.now, tx.sender, receiver, "channel",
                                tx.frame)
@@ -314,18 +301,12 @@ class Radio:
             frame = self.tamper(frame, tx.sender, receiver)
             if frame is None:
                 self.trace.count("rx_fault_dropped")
-                if flight is not None:
-                    flight.on_loss(self.sim.now, tx.sender, receiver,
-                                   "tamper", kind)
                 if causal is not None:
                     causal.on_loss(self.sim.now, tx.sender, receiver,
                                    "tamper", tx.frame)
                 return
         self.trace.count("rx_delivered")
         self.trace.count("rx_delivered_bytes", frame.size_bytes)
-        if flight is not None:
-            flight.on_rx(self.sim.now, tx.sender, receiver, kind,
-                         getattr(frame.payload, "unit", None))
         if causal is None:
             self._nodes[receiver].on_receive(frame, tx.sender)
             return

@@ -18,8 +18,10 @@
     python -m repro.obs bench-history results/perf/history.jsonl --prune 50
     python -m repro.obs watch results/telemetry/
 
-The ``critical-path``/``why`` commands need a ``--causal-trace`` run (see
-:mod:`repro.obs.causal`); ``analyze`` needs ``--flight-record``.
+The ``critical-path``/``why`` commands need the causal stream, which both
+``--causal-trace`` and ``--flight-record`` runs carry (see
+:mod:`repro.obs.causal`); ``analyze`` needs ``--flight-record`` for the hop
+wavefront and the auth-drop/duplicate columns of its link matrix.
 
 Exit codes: 0 success, 1 a gate failed (regression, violated invariant,
 empty history), 2 unusable input (missing file, malformed JSON).
@@ -115,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("trace_file")
 
     analyze = sub.add_parser("analyze",
-                             help="reduce a flight trace into wavefront/"
+                             help="reduce a flight record into wavefront/"
                                   "stall/link-matrix reports")
     analyze.add_argument("trace_file")
     analyze.add_argument("--out", default=None,
@@ -130,10 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cpath = sub.add_parser(
         "critical-path",
         help="attribute completion latency to wait categories from a "
-             "causal trace (exit 1 below --min-attribution)")
+             "causal or flight trace (exit 1 below --min-attribution)")
     cpath.add_argument("trace_file", nargs="+",
-                       help="causal-traced JSONL file(s); several renders a "
-                            "protocol comparison table")
+                       help="causal-traced or flight-recorded JSONL file(s); "
+                            "several renders a protocol comparison table")
     cpath.add_argument("--out", default=None,
                        help="also write the attribution JSON here (a list "
                             "when several traces are given)")
@@ -146,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     why = sub.add_parser(
         "why",
         help="per-node 'why was completion at t?' critical-path report "
-             "from a causal trace")
+             "from a causal or flight trace")
     why.add_argument("trace_file")
     why.add_argument("--node", type=int, required=True,
                      help="the receiver to explain")
@@ -311,7 +313,8 @@ def main(argv=None) -> int:
         dag = build_dag(events)
         if not dag.tx:
             return _error(f"{args.trace_file} holds no causal events — "
-                          "re-run the simulation with --causal-trace")
+                          "re-run the simulation with --causal-trace "
+                          "or --flight-record")
         known = set(dag.meta) | set(dag.complete)
         if args.node not in known:
             return _error(f"node {args.node} does not appear in the trace")

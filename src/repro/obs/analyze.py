@@ -5,26 +5,42 @@ trace (see :mod:`repro.obs.flight`) into three reports:
 
 * **wavefront** — per-hop completion statistics (first/median/last
   ``node_complete`` time per BFS hop from the base station), the per-hop
-  shape behind the paper's completion-time figures;
+  shape behind the paper's completion-time figures.  The hops come from a
+  BFS over the ``flight_topology`` adjacency, rooted at the node whose
+  ``causal_meta`` says it is the base;
 * **stalls** — abnormally long gaps between a node's consecutive
   ``unit_complete`` events (relative to the run's median page gap), plus
   every node that never completed and where it got stuck;
 * **links** — the per-``(src, dst)`` delivery matrix: delivered / lost (by
   cause) / auth-dropped / duplicate counts and the resulting loss rate.
 
-All functions are pure reductions over the event list; the optional JSON
+The matrix and the per-node transmission counts come from one reduction,
+:func:`link_accounting`, over ``causal_tx``/``causal_rx``/``causal_loss``
+and the flight recorder's ``link_auth_drop``/``link_duplicate``; the
+adversarial runner's per-attacker damage attribution reuses it.  All
+functions are pure reductions over the event list; the optional JSON
 artifact goes through :mod:`repro.persist` atomic writes.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.events import EventLog, TraceEvent, load_jsonl
 
-__all__ = ["analyze_events", "analyze_jsonl", "render_analysis"]
+__all__ = ["analyze_events", "analyze_jsonl", "hop_distances",
+           "link_accounting", "render_analysis"]
+
+#: Per-link event kinds and the matrix column each one counts into.
+_LINK_COLUMNS = {
+    "causal_rx": "rx",
+    "causal_loss": "lost",
+    "link_auth_drop": "auth_drop",
+    "link_duplicate": "duplicate",
+}
 
 
 def _median(values: List[float]) -> float:
@@ -37,45 +53,89 @@ def _median(values: List[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
+def link_accounting(
+    events: Iterable[TraceEvent],
+) -> Tuple[Dict[int, int], Dict[Tuple[int, int], Dict[str, Any]]]:
+    """Frames each node put on the air, and the per-link delivery matrix.
+
+    Every delivery attempt on a directed ``(src, dst)`` link is one
+    ``causal_rx`` or ``causal_loss`` (with its cause); authentication drops
+    and duplicates land on the link they arrived over.  Matrix rows carry
+    ``src``/``dst``/``rx``/``lost``/``auth_drop``/``duplicate`` and the
+    loss ``causes``, and are ordered by link.
+    """
+    tx: Dict[int, int] = {}
+    links: Dict[Tuple[int, int], Dict[str, Any]] = {}
+    for e in events:
+        if e.node is None:
+            continue
+        if e.kind == "causal_tx":
+            tx[e.node] = tx.get(e.node, 0) + 1
+            continue
+        column = _LINK_COLUMNS.get(e.kind)
+        if column is None:
+            continue
+        key = (int(e.detail["src"]), e.node)
+        row = links.get(key)
+        if row is None:
+            row = links[key] = {"src": key[0], "dst": key[1], "rx": 0,
+                                "lost": 0, "auth_drop": 0, "duplicate": 0,
+                                "causes": {}}
+        row[column] += 1
+        if column == "lost":
+            causes = row["causes"]
+            causes[e.detail["cause"]] = causes.get(e.detail["cause"], 0) + 1
+    for row in links.values():
+        row["causes"] = dict(sorted(row["causes"].items()))
+    return tx, dict(sorted(links.items()))
+
+
+def hop_distances(neighbors: Dict[int, List[int]],
+                  base: Optional[int]) -> Dict[int, int]:
+    """BFS hop count of every node reachable from ``base``."""
+    if base is None:
+        return {}
+    hops: Dict[int, int] = {base: 0}
+    frontier = deque([base])
+    while frontier:
+        u = frontier.popleft()
+        for v in neighbors.get(u, ()):
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                frontier.append(v)
+    return hops
+
+
 def analyze_events(
     events: Union[EventLog, Iterable[TraceEvent]],
     stall_factor: float = 5.0,
 ) -> Dict[str, Any]:
     """Reduce a trace into wavefront / stall / link-matrix reports."""
-    if isinstance(events, EventLog):
-        events = events.events
-    hops: Dict[int, int] = {}
+    events = events.events if isinstance(events, EventLog) else list(events)
+    neighbors: Dict[int, List[int]] = {}
     base: Optional[int] = None
     protocols: Dict[int, str] = {}
     completion: Dict[int, float] = {}
     unit_times: Dict[int, List[Dict[str, float]]] = {}
-    links: Dict[str, Dict[str, Any]] = {}
     end_ts = 0.0
 
     for e in events:
         end_ts = max(end_ts, e.ts + (e.dur or 0.0))
         if e.kind == "flight_topology":
-            base = e.detail.get("base")
-            hops = {int(k): int(v) for k, v in e.detail.get("hops", {}).items()}
-        elif e.kind == "flight_meta" and e.node is not None:
+            neighbors = {int(k): [int(v) for v in vs] for k, vs in
+                         e.detail.get("neighbors", {}).items()}
+        elif e.kind == "causal_meta" and e.node is not None:
             protocols[e.node] = str(e.detail.get("protocol", "?"))
+            if base is None and e.detail.get("base"):
+                base = e.node
         elif e.kind == "node_complete" and e.node is not None:
             completion.setdefault(e.node, e.ts)
         elif e.kind == "unit_complete" and e.node is not None:
             unit_times.setdefault(e.node, []).append(
                 {"unit": int(e.detail.get("unit", -1)), "ts": e.ts}
             )
-        elif e.kind == "flight_link_stats":
-            d = e.detail
-            links[f"{d.get('src')}->{d.get('dst')}"] = {
-                "src": d.get("src"),
-                "dst": d.get("dst"),
-                "rx": int(d.get("rx", 0)),
-                "lost": int(d.get("lost", 0)),
-                "auth_drop": int(d.get("auth_drop", 0)),
-                "duplicate": int(d.get("duplicate", 0)),
-                "causes": dict(d.get("causes", {})),
-            }
+
+    hops = hop_distances(neighbors, base)
 
     # -- wavefront: per-hop completion statistics -----------------------------
     known_nodes = set(protocols) | set(completion) | set(unit_times) | set(hops)
@@ -131,10 +191,11 @@ def analyze_events(
             if entries else None,
         })
 
-    # -- link matrix ----------------------------------------------------------
+    # -- link matrix (rows ordered by their "src->dst" label) -----------------
+    _tx, links = link_accounting(events)
     link_rows: List[Dict[str, Any]] = []
-    for key in sorted(links):
-        row = dict(links[key])
+    for _link, row in sorted(links.items(),
+                             key=lambda item: "%d->%d" % item[0]):
         attempts = row["rx"] + row["lost"]
         row["loss_rate"] = round(row["lost"] / attempts, 4) if attempts else 0.0
         link_rows.append(row)

@@ -165,14 +165,7 @@ METRICS: Tuple[MetricSpec, ...] = (
                "trace records evicted by the TraceRecorder ring buffer"),
     MetricSpec("obs_unregistered_metric", "counter", "names",
                "distinct counter names used without a catalogue entry"),
-    # -- flight recorder (per-link accounting, --flight-record) ---------------
-    MetricSpec("link_tx", "event", "frames",
-               "flight: a frame was put on the air by a sender"),
-    MetricSpec("link_rx", "event", "frames",
-               "flight: a frame was delivered over one (src, dst) link"),
-    MetricSpec("link_lost", "event", "frames",
-               "flight: a delivery attempt failed (channel/collision/"
-               "halfduplex/tamper cause in detail)"),
+    # -- flight recorder (protocol introspection, --flight-record) ------------
     MetricSpec("link_auth_drop", "event", "packets",
                "flight: a data packet failed authentication before buffering"),
     MetricSpec("link_duplicate", "event", "packets",
@@ -183,15 +176,13 @@ METRICS: Tuple[MetricSpec, ...] = (
                "flight: a receiver inserted a data packet into its RX buffer"),
     MetricSpec("tracker_snapshot", "event", "snapshots",
                "flight: TX-policy state after a SNACK fold or a transmission"),
-    MetricSpec("flight_meta", "event", "runs",
-               "flight: run metadata (protocol, base station, total units)"),
     MetricSpec("flight_topology", "event", "maps",
-               "flight: hop distance of every node from the base station"),
-    MetricSpec("flight_link_stats", "event", "links",
-               "flight: end-of-run per-link accounting summary"),
+               "flight: end-of-run radio adjacency (hop distances from "
+               "the causal_meta base are derived offline)"),
     # -- causal tracer (cross-node provenance, --causal-trace) ----------------
     MetricSpec("causal_meta", "event", "runs",
-               "causal: per-node run metadata (protocol, base, total units)"),
+               "causal: per-node run metadata (protocol, base, secured, "
+               "total units)"),
     MetricSpec("causal_tx", "event", "frames",
                "causal: a frame went on the air with its causal parent "
                "(the rx/timer/decode event that triggered it)"),

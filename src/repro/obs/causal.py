@@ -1,9 +1,9 @@
 """Causal dissemination analysis: provenance DAG, critical paths, attribution.
 
-A ``--causal-trace`` run (see :class:`repro.obs.flight.CausalRecorder`)
-stamps every frame with the event that *caused* it — the received frame or
-timer arm that triggered the transmission — and records every cross-node
-delivery.  This module reconstructs that provenance as a DAG and answers the
+A ``--causal-trace`` or ``--flight-record`` run (see
+:class:`repro.obs.flight.CausalRecorder`) stamps every frame with the event
+that *caused* it — the received frame or timer arm that triggered the
+transmission — and records every cross-node delivery.  This module reconstructs that provenance as a DAG and answers the
 question the wavefront plots cannot: **why** did node ``n`` complete at time
 ``t``?
 

@@ -40,14 +40,20 @@ __all__ = [
 ]
 
 #: Version stamped on newly written traces.  v2 added the causal provenance
-#: kinds (``causal_*``, :mod:`repro.obs.causal`); the event shape itself is
-#: unchanged, so v1 archives remain fully readable.
-TRACE_SCHEMA_VERSION = 2
+#: kinds (``causal_*``, :mod:`repro.obs.causal`).  v3 dropped the flight
+#: recorder's copies of them (``link_tx``/``link_rx``/``link_lost``/
+#: ``flight_meta``/``flight_link_stats``): a flight record now carries the
+#: causal stream itself, and ``flight_topology`` holds the radio adjacency
+#: instead of precomputed hop distances.  The event shape itself is
+#: unchanged, so v1 and v2 archives remain loadable; checks and reductions
+#: that need a kind an old archive lacks skip it (their ``checked`` count
+#: stays 0).
+TRACE_SCHEMA_VERSION = 3
 
 #: Versions :func:`load_jsonl` accepts.  Readers treat unknown *kinds* as
 #: opaque, so the only compatibility contract is the event dict shape —
-#: identical between v1 and v2.
-SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2})
+#: identical across v1, v2 and v3.
+SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2, 3})
 
 # Chrome trace_event phase codes used here: instant, complete (with dur).
 _PH_INSTANT = "i"

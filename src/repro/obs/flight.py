@@ -1,39 +1,39 @@
-"""Protocol flight recorder: per-link accounting and tracker introspection.
+"""Recording attachments: causal provenance plus protocol introspection.
 
-A :class:`FlightRecorder` hangs off :class:`repro.sim.trace.TraceRecorder` as
-its optional ``flight`` attachment.  Hot-path call sites (the radio delivery
-loop, the data-packet authentication branch, the TX pump) guard every hook
-behind a single ``trace.flight is not None`` check, so a run without
-``--flight-record`` pays one attribute test per site and nothing else.
+Two recorders hang off :class:`repro.sim.trace.TraceRecorder`, and each
+recording hook has exactly one owner:
 
-Everything the recorder emits goes through ``sink.instant`` **directly** —
-never through ``TraceRecorder.record`` — so enabling the flight recorder
-cannot touch the counter store: the same seed and flags produce byte-identical
-counter snapshots, completion times, and RNG draws with and without it.  The
-emitted kinds (``link_tx``/``link_rx``/``link_lost``/``link_auth_drop``/
-``link_duplicate``/``pkt_auth_ok``/``pkt_buffered``/``tracker_snapshot``/
-``flight_meta``/``flight_topology``/``flight_link_stats``) are declared in
-:mod:`repro.obs.catalog` like every other event kind, so the schema-versioned
-:class:`~repro.obs.events.EventLog` JSONL form carries them unchanged and the
-invariant checker (:mod:`repro.obs.invariants`) and analyzer
-(:mod:`repro.obs.analyze`) replay them offline.
+* :class:`CausalRecorder` (``--causal-trace``, the ``trace.causal``
+  attachment) owns the radio and provenance hooks: MAC enqueue and drop,
+  the frame going on the air, every delivery outcome, the rx context, node
+  start and page decode.  It emits the ``causal_*`` kinds that
+  :mod:`repro.obs.causal` rebuilds the dissemination DAG and critical paths
+  from.
+* :class:`FlightRecorder` (``--flight-record``, the ``trace.flight``
+  attachment) is a :class:`CausalRecorder` that adds the protocol
+  introspection hooks: per-packet authentication and buffering, auth drops
+  and duplicates on a ``(src, dst)`` link, tracker snapshots, and at the
+  end of the run the observed radio adjacency (``flight_topology``).  With
+  no separate causal recorder, :class:`~repro.sim.trace.TraceRecorder`
+  uses it as ``trace.causal`` too, so a flight record alone carries the
+  full causal stream; attached next to a :class:`CausalRecorder`, its
+  inherited causal hooks are simply never called.
 
-Besides the event stream the recorder keeps a per-link accounting matrix in
-memory; :meth:`FlightRecorder.finalize` flushes it as one ``flight_link_stats``
-event per observed ``(src, dst)`` link plus a ``flight_topology`` event with
-every node's hop distance from the base station (BFS over the observed
-radio's topology).
-
-:class:`CausalRecorder` (``--causal-trace``, the ``trace.causal``
-attachment) lives here too and runs under the identical discipline: it
-emits the ``causal_*`` provenance kinds that :mod:`repro.obs.causal`
-reconstructs the dissemination DAG and critical paths from.
+Hot-path call sites guard every hook behind a single ``trace.causal is not
+None`` or ``trace.flight is not None`` check, so a run without recording
+pays one attribute test per site and nothing else.  Everything a recorder
+emits goes through ``sink.instant`` **directly** — never through
+``TraceRecorder.record`` — so recording cannot touch the counter store:
+the same seed and flags produce byte-identical counter snapshots,
+completion times, and RNG draws with and without it.  Every emitted kind is
+declared in :mod:`repro.obs.catalog`; the per-link delivery matrix, per-node
+transmission counts and hop distances are reduced offline from the stream
+by :mod:`repro.obs.analyze`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Frame
@@ -46,223 +46,22 @@ __all__ = ["FlightRecorder", "CausalRecorder", "LOSS_CAUSES"]
 LOSS_CAUSES: Tuple[str, ...] = ("halfduplex", "collision", "channel", "tamper")
 
 
-class _LinkStats:
-    """Mutable per-``(src, dst)`` accounting row."""
-
-    __slots__ = ("rx", "auth_drop", "duplicate", "causes")
-
-    def __init__(self) -> None:
-        self.rx = 0
-        self.auth_drop = 0
-        self.duplicate = 0
-        self.causes: Dict[str, int] = {}
-
-    @property
-    def lost(self) -> int:
-        return sum(self.causes.values())
-
-    def to_detail(self, src: int, dst: int) -> Dict[str, Any]:
-        return {
-            "src": src,
-            "dst": dst,
-            "rx": self.rx,
-            "lost": self.lost,
-            "auth_drop": self.auth_drop,
-            "duplicate": self.duplicate,
-            "causes": dict(sorted(self.causes.items())),
-        }
-
-
-class FlightRecorder:
-    """Collects per-link, per-packet, and tracker events into a trace sink."""
-
-    def __init__(self, sink: "TraceSink") -> None:
-        self.sink = sink
-        self._links: Dict[Tuple[int, int], _LinkStats] = {}
-        self._tx_frames: Dict[int, int] = {}
-        self._radio: Optional["Radio"] = None
-        self._base: Optional[int] = None
-        self._finalized = False
-
-    # -- wiring ---------------------------------------------------------------
-
-    def observe_radio(self, radio: "Radio") -> None:
-        """Remember the radio whose topology :meth:`finalize` maps."""
-        self._radio = radio
-
-    def _link(self, src: int, dst: int) -> _LinkStats:
-        stats = self._links.get((src, dst))
-        if stats is None:
-            stats = _LinkStats()
-            self._links[(src, dst)] = stats
-        return stats
-
-    # -- radio hooks ----------------------------------------------------------
-
-    def on_tx(self, ts: float, sender: int, kind: str, size: int,
-              unit: Optional[int] = None) -> None:
-        """A frame left ``sender``'s radio (one event per broadcast)."""
-        self._tx_frames[sender] = self._tx_frames.get(sender, 0) + 1
-        detail: Dict[str, Any] = {"kind": kind, "size": size}
-        if unit is not None:
-            detail["unit"] = unit
-        self.sink.instant(ts, "link_tx", sender, detail)
-
-    def on_rx(self, ts: float, src: int, dst: int, kind: str,
-              unit: Optional[int] = None) -> None:
-        """A frame was delivered over the directed link ``src -> dst``."""
-        self._link(src, dst).rx += 1
-        detail: Dict[str, Any] = {"src": src, "kind": kind}
-        if unit is not None:
-            detail["unit"] = unit
-        self.sink.instant(ts, "link_rx", dst, detail)
-
-    def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                kind: str) -> None:
-        """A delivery attempt on ``src -> dst`` failed (see LOSS_CAUSES)."""
-        causes = self._link(src, dst).causes
-        causes[cause] = causes.get(cause, 0) + 1
-        self.sink.instant(ts, "link_lost", dst,
-                          {"src": src, "cause": cause, "kind": kind})
-
-    # -- protocol hooks -------------------------------------------------------
-
-    def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
-                total_units: Optional[int], secured: bool) -> None:
-        """Per-node run metadata, emitted once at ``start()``."""
-        if is_base and self._base is None:
-            self._base = node
-        self.sink.instant(ts, "flight_meta", node, {
-            "protocol": protocol,
-            "base": is_base,
-            "total_units": total_units,
-            "secured": secured,
-        })
-
-    def on_auth_ok(self, ts: float, node: int, src: int, version: int,
-                   unit: int, index: int) -> None:
-        """Per-packet authentication succeeded at ``node``."""
-        self.sink.instant(ts, "pkt_auth_ok", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
-        })
-
-    def on_buffered(self, ts: float, node: int, src: int, version: int,
-                    unit: int, index: int) -> None:
-        """``node`` inserted a data packet into its RX buffer."""
-        self.sink.instant(ts, "pkt_buffered", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
-        })
-
-    def on_auth_drop(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None:
-        """A data packet failed authentication *before* buffering."""
-        self._link(src, node).auth_drop += 1
-        self.sink.instant(ts, "link_auth_drop", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
-        })
-
-    def on_duplicate(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None:
-        """An already-buffered data packet arrived again."""
-        self._link(src, node).duplicate += 1
-        self.sink.instant(ts, "link_duplicate", node, {
-            "src": src, "version": version, "unit": unit, "index": index,
-        })
-
-    def on_tracker(self, ts: float, node: int, unit: int, trigger: str,
-                   state: Optional[Dict[str, Any]],
-                   requester: Optional[int] = None,
-                   index: Optional[int] = None,
-                   via: Optional[int] = None) -> None:
-        """TX-policy snapshot after a SNACK fold (``trigger="snack"``) or a
-        transmission being accounted (``trigger="sent"``).
-
-        ``requester`` is the *claimed* identity folded into the policy;
-        ``via`` the link-layer sender that relayed it — they differ only
-        under Sybil/replay attacks, and the ``quarantine_respected``
-        invariant keys on ``via``.
-        """
-        if state is None:
-            return  # the policy offers no introspection
-        detail: Dict[str, Any] = {"unit": unit, "trigger": trigger}
-        if requester is not None:
-            detail["requester"] = requester
-        if index is not None:
-            detail["index"] = index
-        if via is not None:
-            detail["via"] = via
-        detail.update(state)
-        self.sink.instant(ts, "tracker_snapshot", node, detail)
-
-    # -- end of run -----------------------------------------------------------
-
-    def hop_distances(self) -> Dict[int, int]:
-        """BFS hop count from the base station over the observed topology."""
-        if self._radio is None or self._base is None:
-            return {}
-        neighbors = self._radio.topology.neighbors
-        hops: Dict[int, int] = {self._base: 0}
-        frontier = deque([self._base])
-        while frontier:
-            u = frontier.popleft()
-            for v in sorted(neighbors.get(u, ())):
-                if v not in hops:
-                    hops[v] = hops[u] + 1
-                    frontier.append(v)
-        return hops
-
-    def finalize(self, ts: float) -> None:
-        """Flush the topology map and the per-link accounting summary.
-
-        Idempotent: a second call is a no-op so CLI paths that both run and
-        persist a simulation cannot double-emit the summary.
-        """
-        if self._finalized:
-            return
-        self._finalized = True
-        hops = self.hop_distances()
-        if hops or self._tx_frames:
-            self.sink.instant(ts, "flight_topology", None, {
-                "base": self._base,
-                "hops": {str(n): h for n, h in sorted(hops.items())},
-                "tx_frames": {
-                    str(n): c for n, c in sorted(self._tx_frames.items())
-                },
-            })
-        for (src, dst) in sorted(self._links):
-            self.sink.instant(ts, "flight_link_stats", None,
-                              self._links[(src, dst)].to_detail(src, dst))
-
-    def link_matrix(self) -> Dict[Tuple[int, int], Dict[str, Any]]:
-        """The in-memory accounting matrix (for tests and the analyzer)."""
-        return {
-            (src, dst): self._links[(src, dst)].to_detail(src, dst)
-            for (src, dst) in sorted(self._links)
-        }
-
-    def tx_frame_counts(self) -> Dict[int, int]:
-        """Frames each node put on the air (per-attacker damage attribution
-        reads an adversary's injected-frame count from here)."""
-        return dict(self._tx_frames)
-
-
 class CausalRecorder:
     """Cross-node causal provenance: who/what triggered every transmission.
 
-    Attached as ``trace.causal`` (see :class:`repro.sim.trace.CausalSink`),
-    it follows the flight recorder's zero-overhead discipline exactly: every
-    hook is guarded by one ``trace.causal is not None`` test at the call
-    site, and emissions go through ``sink.instant`` only — never through the
-    counter store — so the counter snapshots, RNG draws, and non-causal
-    event stream are byte-identical with and without ``--causal-trace``.
+    Attached as ``trace.causal`` (see :class:`repro.sim.trace.CausalSink`):
+    every hook is guarded by one ``trace.causal is not None`` test at the
+    call site, and emissions go through ``sink.instant`` only — never
+    through the counter store — so the counter snapshots, RNG draws, and
+    non-causal event stream are byte-identical with and without it.
 
     Emitted kinds (catalogued in :mod:`repro.obs.catalog`, replayed offline
     by :mod:`repro.obs.causal`):
 
     ``causal_meta``
         Per-node run metadata at ``start()``: protocol, base flag, total
-        units, plus the protocol's ``causal_profile`` label for comparison
-        tables.
+        units, whether the node authenticates packets (``secured``), plus
+        the protocol's ``causal_profile`` label for comparison tables.
     ``causal_tx``
         A frame went on the air.  Detail carries the frame id, wire kind,
         MAC enqueue time (``enq`` — the gap to ``ts`` is MAC/carrier-sense
@@ -271,7 +70,8 @@ class CausalRecorder:
         this transmission.
     ``causal_rx`` / ``causal_loss``
         One event per delivery attempt outcome at each receiver — the
-        cross-node DAG edges.  ``causal_loss`` is what the analyzer charges
+        cross-node DAG edges.  ``causal_loss`` carries the cause (one of
+        :data:`LOSS_CAUSES`) and is what the analyzer charges
         retransmission wait to.
     ``causal_decode``
         A page decoded/verified at a node, parented on the frame whose
@@ -362,3 +162,89 @@ class CausalRecorder:
         if of is not None:
             detail["of"] = of
         self.sink.instant(ts, "causal_decode", node, detail)
+
+
+class FlightRecorder(CausalRecorder):
+    """A causal recorder plus per-packet, per-link and tracker introspection."""
+
+    def __init__(self, sink: "TraceSink") -> None:
+        super().__init__(sink)
+        self._radio: Optional["Radio"] = None
+        self._finalized = False
+
+    def observe_radio(self, radio: "Radio") -> None:
+        """Remember the radio whose topology :meth:`finalize` maps."""
+        self._radio = radio
+
+    # -- protocol introspection hooks -----------------------------------------
+
+    def on_auth_ok(self, ts: float, node: int, src: int, version: int,
+                   unit: int, index: int) -> None:
+        """Per-packet authentication succeeded at ``node``."""
+        self.sink.instant(ts, "pkt_auth_ok", node, {
+            "src": src, "version": version, "unit": unit, "index": index,
+        })
+
+    def on_buffered(self, ts: float, node: int, src: int, version: int,
+                    unit: int, index: int) -> None:
+        """``node`` inserted a data packet into its RX buffer."""
+        self.sink.instant(ts, "pkt_buffered", node, {
+            "src": src, "version": version, "unit": unit, "index": index,
+        })
+
+    def on_auth_drop(self, ts: float, node: int, src: int, version: int,
+                     unit: int, index: int) -> None:
+        """A data packet failed authentication *before* buffering."""
+        self.sink.instant(ts, "link_auth_drop", node, {
+            "src": src, "version": version, "unit": unit, "index": index,
+        })
+
+    def on_duplicate(self, ts: float, node: int, src: int, version: int,
+                     unit: int, index: int) -> None:
+        """An already-buffered data packet arrived again."""
+        self.sink.instant(ts, "link_duplicate", node, {
+            "src": src, "version": version, "unit": unit, "index": index,
+        })
+
+    def on_tracker(self, ts: float, node: int, unit: int, trigger: str,
+                   state: Optional[Dict[str, Any]],
+                   requester: Optional[int] = None,
+                   index: Optional[int] = None,
+                   via: Optional[int] = None) -> None:
+        """TX-policy snapshot after a SNACK fold (``trigger="snack"``) or a
+        transmission being accounted (``trigger="sent"``).
+
+        ``requester`` is the *claimed* identity folded into the policy;
+        ``via`` the link-layer sender that relayed it — they differ only
+        under Sybil/replay attacks, and the ``quarantine_respected``
+        invariant keys on ``via``.
+        """
+        if state is None:
+            return  # the policy offers no introspection
+        detail: Dict[str, Any] = {"unit": unit, "trigger": trigger}
+        if requester is not None:
+            detail["requester"] = requester
+        if index is not None:
+            detail["index"] = index
+        if via is not None:
+            detail["via"] = via
+        detail.update(state)
+        self.sink.instant(ts, "tracker_snapshot", node, detail)
+
+    # -- end of run -----------------------------------------------------------
+
+    def finalize(self, ts: float) -> None:
+        """Emit the observed radio adjacency as one ``flight_topology``.
+
+        The topology is read at the end of the run, so links an attacker
+        spliced in are included.  Idempotent: a second call is a no-op so
+        CLI paths that both run and persist a simulation cannot double-emit.
+        """
+        if self._finalized or self._radio is None:
+            return
+        self._finalized = True
+        neighbors = self._radio.topology.neighbors
+        self.sink.instant(ts, "flight_topology", None, {
+            "neighbors": {str(n): sorted(neighbors[n])
+                          for n in sorted(neighbors)},
+        })

@@ -11,7 +11,7 @@ Invariant library
 -----------------
 
 ``auth_before_buffer``
-    A *secured* node (``flight_meta`` ``secured=true``) never buffers a data
+    A *secured* node (``causal_meta`` ``secured=true``) never buffers a data
     packet (``pkt_buffered``) whose ``(version, unit, index)`` was not first
     authenticated (``pkt_auth_ok``).  This is the Seluge/LR-Seluge
     DoS-resilience claim; plain Deluge advertises ``secured=false`` and is
@@ -24,10 +24,10 @@ Invariant library
     legitimately refreshes (and may raise) that one entry.
 
 ``serve_only_decoded``
-    A node only transmits data packets (``link_tx`` with ``kind="data"``)
+    A node only transmits data packets (``causal_tx`` with ``kind="data"``)
     for pages it has decoded, tracked through ``unit_complete``,
     ``fault_reboot`` (``resume_unit`` accounts for flash recovery), and
-    ``version_adopted`` resets.  Senders that never emitted ``flight_meta``
+    ``version_adopted`` resets.  Senders that never emitted ``causal_meta``
     (e.g. attacker rigs outside the protocol) are not tracked.
 
 ``pages_sequential``
@@ -64,12 +64,20 @@ Invariant library
     delivered to that node beforehand.  This is the invariant that makes
     critical paths temporally monotone by construction.
 
-The ``auth_before_buffer``/``tracker_monotone``/``quarantine_respected``/
-``replay_never_rebuffered`` invariants need a flight-recorded trace
-(``--flight-record``); the ``causal_*`` pair needs a causal trace
-(``--causal-trace``); the others also work on plain span traces.  Events whose prerequisites
-are absent are skipped, and :attr:`InvariantReport.checked` records how many
-events each invariant actually examined so "vacuously clean" is visible.
+Which recording each invariant needs:
+
+* ``auth_before_buffer``, ``tracker_monotone``, ``quarantine_respected``
+  and ``replay_never_rebuffered`` read protocol introspection, so they need
+  a flight record (``--flight-record``).
+* ``serve_only_decoded``, ``causal_rx_has_tx`` and ``causal_monotone`` read
+  the causal stream, which both ``--causal-trace`` and ``--flight-record``
+  carry.
+* ``pages_sequential`` and ``complete_means_all_pages`` also work on plain
+  span traces (``--trace-out`` alone).
+
+Events whose prerequisites are absent are skipped, and
+:attr:`InvariantReport.checked` records how many events each invariant
+actually examined so "vacuously clean" is visible.
 """
 
 from __future__ import annotations
@@ -156,7 +164,7 @@ def _int_keys(mapping: Dict[Any, Any]) -> Dict[int, Any]:
 class _Checker:
     def __init__(self) -> None:
         self.report = InvariantReport(checked={name: 0 for name in INVARIANTS})
-        # per-node protocol facts from flight_meta
+        # per-node protocol facts from causal_meta
         self.secured: Dict[int, bool] = {}
         self.is_base: Dict[int, bool] = {}
         # per-node decode progress (inf = base station, always complete)
@@ -275,7 +283,7 @@ class _Checker:
                     )
         self.last_distances[key] = cur
 
-    def _on_link_tx(self, e: TraceEvent) -> None:
+    def _serve_only_decoded(self, e: TraceEvent) -> None:
         if e.node is None or e.detail.get("kind") != "data":
             return
         unit = e.detail.get("unit")
@@ -344,6 +352,7 @@ class _Checker:
         self._drop_tracker_state(e.node)
 
     def _on_causal_tx(self, e: TraceEvent) -> None:
+        self._serve_only_decoded(e)
         d = e.detail
         if "frame" not in d:
             return
@@ -440,12 +449,11 @@ class _Checker:
     # -- driver ---------------------------------------------------------------
 
     _HANDLERS = {
-        "flight_meta": _on_meta,
+        "causal_meta": _on_meta,
         "pkt_auth_ok": _on_auth_ok,
         "pkt_buffered": _on_buffered,
         "tracker_snapshot": _on_tracker,
         "defense_quarantine": _on_quarantine,
-        "link_tx": _on_link_tx,
         "unit_complete": _on_unit_complete,
         "node_complete": _on_node_complete,
         "fault_reboot": _on_reboot,

@@ -257,10 +257,6 @@ class DisseminationNode(NetworkNode):
 
     def start(self) -> None:
         """Begin operating; the base station also pushes the signature packet."""
-        if self.trace.flight is not None:
-            self.trace.flight.on_meta(self.sim.now, self.node_id,
-                                      self.protocol.value, self.is_base,
-                                      self.total_units, self.pipeline.secured)
         if self.trace.causal is not None:
             self.trace.causal.on_meta(self.sim.now, self.node_id,
                                       self.protocol.value, self.is_base,

@@ -71,13 +71,34 @@ def canonical_events(log: _LogLike) -> List[str]:
     ``(timestamp, serialised content)``: distinct-time events keep their
     temporal order; same-time events land in a content-defined order that
     every legitimate tie-break permutation agrees on.
+
+    Causal events name frames by id, and ids come from a process-wide
+    counter, so equivalent runs number the same frame differently.  Each
+    frame id is therefore replaced by where and when the frame aired
+    (``"<sender>@<ts>"``, ``None`` for a frame that never aired).
     """
+    events = [event.to_dict() for event in log.events]
+    aired = {data["detail"]["frame"]: f"{data['node']}@{data['ts']!r}"
+             for data in events if data["kind"] == "causal_tx"}
     rendered: List[Tuple[float, str]] = []
-    for event in log.events:
-        data = event.to_dict()
+    for data in events:
+        if data["kind"].startswith("causal_"):
+            data = {**data, "detail": _relabel(data["detail"], aired)}
         rendered.append((float(data["ts"]), json.dumps(data, sort_keys=True)))
     rendered.sort()
     return [text for _, text in rendered]
+
+
+def _relabel(detail: "dict[str, Any]",
+             aired: "dict[Any, str]") -> "dict[str, Any]":
+    """A causal event's detail with its frame ids replaced by airings."""
+    out = dict(detail)
+    if "frame" in out:
+        out["frame"] = aired.get(out["frame"])
+    cause = out.get("cause")
+    if isinstance(cause, dict) and "parent" in cause:
+        out["cause"] = {**cause, "parent": aired.get(cause["parent"])}
+    return out
 
 
 def event_digest(log: _LogLike) -> str:

@@ -7,7 +7,7 @@ code reads the counters afterwards.  Recording full trace entries is optional
 The recorder is a thin façade over a typed :class:`~repro.obs.registry.
 MetricsRegistry`: :attr:`TraceRecorder.counters` *is* the registry's counter
 store, so the hot path stays a single dict update while every counter name
-can be resolved to its declared spec (kind, unit, help) for reports.  Three
+can be resolved to its declared spec (kind, unit, help) for reports.  Four
 optional extensions hang off it:
 
 * ``max_records`` bounds the in-memory record list as a ring buffer —
@@ -16,12 +16,19 @@ optional extensions hang off it:
   (:class:`repro.obs.events.EventLog`-shaped) and enables
   :meth:`span_begin`/:meth:`span_end` for packet/page lifecycle spans; with
   no sink both span calls are near-free no-ops.
-* ``flight`` attaches a :class:`FlightSink`-shaped flight recorder
-  (per-link accounting, tracker snapshots); instrumented call sites in the
-  radio and protocol layers check ``trace.flight is not None`` themselves.
 * ``causal`` attaches a :class:`CausalSink`-shaped provenance recorder
-  (per-frame causal parents, cross-node tx->rx edges, decode events) under
-  the same ``trace.causal is not None`` discipline.
+  (per-frame causal parents, every delivery outcome, decode events); the
+  radio and protocol layers check ``trace.causal is not None`` themselves.
+* ``flight`` attaches a :class:`FlightSink`-shaped flight recorder, which
+  adds protocol introspection (authentication, buffering, tracker
+  snapshots, the observed topology) under the same ``trace.flight is not
+  None`` discipline.  A flight recorder is itself a causal recorder: with
+  no ``causal`` given it is used as both, so a flight record alone carries
+  the full causal stream.
+
+Each hook has one owner: radio and provenance hooks are only ever called on
+``trace.causal``, introspection hooks only on ``trace.flight``, so a run
+with both attached records every outcome once.
 """
 
 from __future__ import annotations
@@ -36,60 +43,17 @@ __all__ = ["TraceRecord", "TraceRecorder", "TraceSink", "FlightSink",
            "CausalSink"]
 
 
-class FlightSink(Protocol):
-    """Structural interface of a flight recorder attachment.
-
-    :class:`repro.obs.flight.FlightRecorder` satisfies this; hot-path call
-    sites (radio delivery, data authentication, TX pump) guard each hook
-    behind ``trace.flight is not None`` so a run without flight recording
-    pays one attribute test per site.  Implementations must write only to
-    their own sink — never to the recorder's counters — to preserve the
-    byte-identical-run contract.
-    """
-
-    def observe_radio(self, radio: Any) -> None: ...
-
-    def on_tx(self, ts: float, sender: int, kind: str, size: int,
-              unit: Optional[int] = None) -> None: ...
-
-    def on_rx(self, ts: float, src: int, dst: int, kind: str,
-              unit: Optional[int] = None) -> None: ...
-
-    def on_loss(self, ts: float, src: int, dst: int, cause: str,
-                kind: str) -> None: ...
-
-    def on_meta(self, ts: float, node: int, protocol: str, is_base: bool,
-                total_units: Optional[int], secured: bool) -> None: ...
-
-    def on_auth_ok(self, ts: float, node: int, src: int, version: int,
-                   unit: int, index: int) -> None: ...
-
-    def on_buffered(self, ts: float, node: int, src: int, version: int,
-                    unit: int, index: int) -> None: ...
-
-    def on_auth_drop(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None: ...
-
-    def on_duplicate(self, ts: float, node: int, src: int, version: int,
-                     unit: int, index: int) -> None: ...
-
-    def on_tracker(self, ts: float, node: int, unit: int, trigger: str,
-                   state: Optional[Dict[str, Any]],
-                   requester: Optional[int] = None,
-                   index: Optional[int] = None) -> None: ...
-
-    def finalize(self, ts: float) -> None: ...
-
-
 class CausalSink(Protocol):
     """Structural interface of a causal-provenance recorder attachment.
 
-    :class:`repro.obs.flight.CausalRecorder` satisfies this.  Like the
-    flight recorder, every hot-path call site guards its hook behind a
-    single ``trace.causal is not None`` check and implementations write
-    only to their own sink — never to the recorder's counters — so the
-    event stream, counter snapshots, and RNG draws stay byte-identical
-    with and without ``--causal-trace``.
+    :class:`repro.obs.flight.CausalRecorder` satisfies this.  Every
+    hot-path call site (MAC enqueue and drop, the frame going on the air,
+    each delivery outcome, the rx context, node start, page decode) guards
+    its hook behind a single ``trace.causal is not None`` check, so a run
+    without recording pays one attribute test per site.  Implementations
+    write only to their own sink — never to the recorder's counters — so
+    the event stream, counter snapshots, and RNG draws stay byte-identical
+    with and without recording.
 
     ``frame`` parameters are :class:`repro.net.packet.Frame` instances,
     typed ``Any`` here so the strict ``repro.sim`` surface does not import
@@ -120,6 +84,39 @@ class CausalSink(Protocol):
     def on_decode(self, ts: float, node: int, unit: int,
                   parent: Optional[int], need: Optional[int],
                   of: Optional[int]) -> None: ...
+
+
+class FlightSink(CausalSink, Protocol):
+    """Structural interface of a flight recorder attachment.
+
+    :class:`repro.obs.flight.FlightRecorder` satisfies this.  It is a
+    :class:`CausalSink` (so :class:`TraceRecorder` can use it as ``causal``
+    too) and adds the protocol-introspection hooks declared here, which
+    call sites guard behind ``trace.flight is not None``.  Implementations
+    write only to their own sink, never to the recorder's counters.
+    """
+
+    def observe_radio(self, radio: Any) -> None: ...
+
+    def on_auth_ok(self, ts: float, node: int, src: int, version: int,
+                   unit: int, index: int) -> None: ...
+
+    def on_buffered(self, ts: float, node: int, src: int, version: int,
+                    unit: int, index: int) -> None: ...
+
+    def on_auth_drop(self, ts: float, node: int, src: int, version: int,
+                     unit: int, index: int) -> None: ...
+
+    def on_duplicate(self, ts: float, node: int, src: int, version: int,
+                     unit: int, index: int) -> None: ...
+
+    def on_tracker(self, ts: float, node: int, unit: int, trigger: str,
+                   state: Optional[Dict[str, Any]],
+                   requester: Optional[int] = None,
+                   index: Optional[int] = None,
+                   via: Optional[int] = None) -> None: ...
+
+    def finalize(self, ts: float) -> None: ...
 
 
 class TraceSink(Protocol):
@@ -184,11 +181,12 @@ class TraceRecorder:
             [] if max_records is None else deque(maxlen=max_records)
         )
         self.sink = sink
-        # Optional flight recorder: instrumented call sites check for None
-        # themselves so the disabled path costs one attribute read.
+        # Optional recorders: instrumented call sites check for None
+        # themselves so the disabled path costs one attribute read.  A
+        # flight recorder doubles as the causal tracer unless one is given.
         self.flight = flight
-        # Optional causal tracer (same discipline as flight).
-        self.causal = causal
+        self.causal: Optional[CausalSink] = (
+            causal if causal is not None else flight)
         self._marks: Dict[str, float] = {}
 
     def count(self, name: str, amount: int = 1) -> None:

@@ -33,9 +33,9 @@ timings for later diffing with ``python -m repro.obs report --diff``::
         --profile --trace-out run.trace.jsonl --manifest run.manifest.json
 
 ``--flight-record`` additionally attaches the protocol flight recorder
-(per-link tx/rx/loss/auth-drop accounting, tracking-table snapshots, hop
-topology) so the archived trace can be replayed through
-``python -m repro.obs check-invariants`` and reduced with
+(the causal stream below plus authentication, buffering and tracking-table
+snapshots and the radio adjacency) so the archived trace can be replayed
+through ``python -m repro.obs check-invariants`` and reduced with
 ``python -m repro.obs analyze``::
 
     python -m repro.simulate --protocol lr-seluge --image-kib 4 --k 8 --n 12 \\
@@ -43,7 +43,7 @@ topology) so the archived trace can be replayed through
     python -m repro.obs check-invariants run.trace.jsonl
     python -m repro.obs analyze run.trace.jsonl --out analysis.json
 
-``--causal-trace`` attaches the causal provenance recorder instead: every
+``--causal-trace`` attaches only the causal provenance recorder: every
 frame carries the event that caused it (the received frame or timer arm
 that triggered the transmission), and the archived trace answers "why was
 node ``n``'s completion at time ``t``?"::
@@ -156,10 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write a run manifest (seed, config, git rev, "
                           "counters, timings)")
     obs.add_argument("--flight-record", action="store_true",
-                     help="attach the protocol flight recorder (per-link "
-                          "accounting, tracker snapshots) to the trace; "
-                          "implies structured tracing and feeds "
-                          "`python -m repro.obs check-invariants/analyze`")
+                     help="attach the protocol flight recorder (the causal "
+                          "stream plus auth, buffering and tracker "
+                          "snapshots) to the trace; implies structured "
+                          "tracing and feeds `python -m repro.obs "
+                          "check-invariants/analyze/critical-path`")
     obs.add_argument("--causal-trace", action="store_true",
                      help="attach the causal provenance recorder (per-frame "
                           "cause stamps, cross-node edges) to the trace; "
@@ -288,12 +289,11 @@ def main(argv=None) -> int:
             or args.causal_trace):
         from repro.obs.events import EventLog
         log = EventLog()
-    flight = None
+    flight = causal = None
     if args.flight_record:
         from repro.obs.flight import FlightRecorder
-        flight = FlightRecorder(log)
-    causal = None
-    if args.causal_trace:
+        flight = FlightRecorder(log)  # also the causal tracer
+    elif args.causal_trace:
         from repro.obs.flight import CausalRecorder
         causal = CausalRecorder(log)
     trace = TraceRecorder(sink=log, flight=flight, causal=causal)
@@ -379,8 +379,8 @@ def main(argv=None) -> int:
             print(f"  {key:10s} {value:.1f}")
 
     if flight is not None:
-        # Topology map + per-link accounting summary land in the trace
-        # before it is flushed and written.
+        # The radio adjacency lands in the trace before it is flushed and
+        # written.
         flight.finalize(sim.now)
     if profiler is not None and args.profile_alloc:
         profiler.stop_alloc()

@@ -79,26 +79,35 @@ class ReferenceRadio(Radio):
 
     def _lose(self, tx, receiver, counter, cause):
         self.trace.count(counter)
-        self.trace.flight.on_loss(self.sim.now, tx.sender, receiver, cause,
-                                  tx.frame.kind.value)
+        self.trace.causal.on_loss(self.sim.now, tx.sender, receiver, cause,
+                                  tx.frame)
 
 
 class OutcomeLog:
-    """Flight-recorder stand-in: one entry per delivery attempt."""
+    """Causal-recorder stand-in: one entry per delivery attempt."""
 
     def __init__(self):
         self.outcomes = []
 
-    def observe_radio(self, radio):
+    def on_enqueue(self, ts, frame):
         pass
 
-    def on_tx(self, ts, sender, kind, size, unit=None):
+    def on_mac_drop(self, frame):
         pass
 
-    def on_rx(self, ts, src, dst, kind, unit=None):
+    def on_air(self, ts, frame, unit):
+        pass
+
+    def enter_rx(self, node, frame_id):
+        pass
+
+    def exit_rx(self, node):
+        pass
+
+    def on_rx(self, ts, src, dst, frame):
         self.outcomes.append((ts, src, dst, "delivered"))
 
-    def on_loss(self, ts, src, dst, cause, kind):
+    def on_loss(self, ts, src, dst, cause, frame):
         self.outcomes.append((ts, src, dst, cause))
 
 
@@ -147,7 +156,7 @@ def _run(radio_cls, sc):
     sim = Simulator()
     rngs = RngRegistry(11)
     log = OutcomeLog()
-    trace = TraceRecorder(flight=log)
+    trace = TraceRecorder(causal=log)
     radio = radio_cls(sim, topo, PerLinkLoss(topo.link_loss, default=0.5), rngs,
                       trace, config=RadioConfig(collisions=sc["collisions"]))
     nodes = {i: Sink(i, sim, radio, rngs, trace) for i in ids}

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.scenarios import OneHopScenario, run_one_hop
 from repro.obs.events import EventLog
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import CausalRecorder, FlightRecorder
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -23,11 +23,15 @@ class FlightRun:
 
 
 def run_flight(protocol="lr-seluge", receivers=3, loss=0.1, seed=5,
-               image_size=3000, k=8, n=12, max_time=3600.0) -> FlightRun:
+               image_size=3000, k=8, n=12, max_time=3600.0,
+               separate_causal=False) -> FlightRun:
+    """A flight-recorded run; ``separate_causal`` also attaches a
+    :class:`CausalRecorder` (the flight recorder then only introspects)."""
     sim = Simulator()
     log = EventLog()
     flight = FlightRecorder(log)
-    trace = TraceRecorder(sink=log, flight=flight)
+    causal = CausalRecorder(log) if separate_causal else None
+    trace = TraceRecorder(sink=log, flight=flight, causal=causal)
     result = run_one_hop(OneHopScenario(
         protocol=protocol, loss_rate=loss, receivers=receivers,
         image_size=image_size, k=k, n=n, seed=seed, max_time=max_time,
@@ -56,8 +60,6 @@ class CausalRun:
 def run_causal(protocol="lr-seluge", receivers=3, loss=0.1, seed=5,
                image_size=3000, k=8, n=12, max_time=3600.0,
                topology=None) -> CausalRun:
-    from repro.obs.flight import CausalRecorder
-
     sim = Simulator()
     log = EventLog()
     causal = CausalRecorder(log)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.analyze import analyze_events, analyze_jsonl, render_analysis
+from repro.obs.analyze import (analyze_events, analyze_jsonl, link_accounting,
+                                render_analysis)
 from repro.obs.events import TraceEvent
 
 
@@ -31,7 +32,9 @@ def test_analysis_of_a_real_run(flight_run):
 
 def test_stall_detection_and_stuck_nodes():
     events = [
-        _ev(0.0, "flight_topology", None, base=0, hops={"0": 0, "1": 1, "2": 1}),
+        _ev(0.0, "causal_meta", 0, base=True),
+        _ev(0.0, "flight_topology", None,
+            neighbors={"0": [1, 2], "1": [0], "2": [0]}),
         _ev(1.0, "unit_complete", 1, unit=0),
         _ev(2.0, "unit_complete", 1, unit=1),
         _ev(3.0, "unit_complete", 1, unit=2),
@@ -53,7 +56,8 @@ def test_stall_detection_and_stuck_nodes():
 
 def test_unknown_hops_bucket_separately():
     events = [
-        _ev(0.0, "flight_topology", None, base=0, hops={"0": 0, "1": 1}),
+        _ev(0.0, "causal_meta", 0, base=True),
+        _ev(0.0, "flight_topology", None, neighbors={"0": [1], "1": [0]}),
         _ev(1.0, "node_complete", 1, total=1),
         _ev(2.0, "node_complete", 5, total=1),  # not in the hop map
     ]
@@ -61,6 +65,34 @@ def test_unknown_hops_bucket_separately():
     hops = {w["hop"]: w for w in analysis["wavefront"]}
     assert hops[1]["completed"] == 1
     assert hops[None]["completed"] == 1
+
+
+def test_link_accounting_of_hand_built_events():
+    events = [
+        _ev(0.0, "causal_tx", 0, frame=1),
+        _ev(0.1, "causal_rx", 1, frame=1, src=0),
+        _ev(0.1, "causal_loss", 2, frame=1, src=0, cause="channel"),
+        _ev(0.2, "causal_tx", 0, frame=2),
+        _ev(0.3, "causal_loss", 2, frame=2, src=0, cause="collision"),
+        _ev(0.3, "causal_loss", 1, frame=2, src=0, cause="channel"),
+        _ev(0.4, "causal_tx", 9, frame=3),
+        # 9 -> 1 only ever shows up as authentication drops and duplicates.
+        _ev(0.5, "link_auth_drop", 1, src=9, version=2, unit=0, index=3),
+        _ev(0.6, "link_duplicate", 1, src=9, version=2, unit=0, index=4),
+        _ev(0.6, "link_auth_drop", 1, src=9, version=2, unit=0, index=5),
+        _ev(0.7, "node_complete", 1, total=1),
+    ]
+    tx, matrix = link_accounting(events)
+    assert tx == {0: 2, 9: 1}
+    assert list(matrix) == [(0, 1), (0, 2), (9, 1)]
+    assert matrix[(0, 1)] == {"src": 0, "dst": 1, "rx": 1, "lost": 1,
+                              "auth_drop": 0, "duplicate": 0,
+                              "causes": {"channel": 1}}
+    assert matrix[(0, 2)]["causes"] == {"channel": 1, "collision": 1}
+    assert matrix[(9, 1)] == {"src": 9, "dst": 1, "rx": 0, "lost": 0,
+                              "auth_drop": 2, "duplicate": 1, "causes": {}}
+    rows = analyze_events(events)["links"]
+    assert [r["loss_rate"] for r in rows] == [0.5, 1.0, 0.0]
 
 
 def test_analyze_jsonl_writes_the_artifact(flight_run, tmp_path):

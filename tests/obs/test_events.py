@@ -120,11 +120,11 @@ def test_load_jsonl_rejects_bad_headers(tmp_path):
 
 
 def test_schema_v1_traces_remain_readable(tmp_path):
-    # Schema v2 added the causal_* event kinds without changing the event
-    # record shape, so v1 traces written before the bump must still load,
-    # analyze, and pass the invariant checker.
-    assert TRACE_SCHEMA_VERSION == 2
-    assert SUPPORTED_SCHEMA_VERSIONS == frozenset({1, 2})
+    # Schemas v2 (causal_* kinds added) and v3 (flight copies of them
+    # dropped) kept the event record shape, so v1 traces written before the
+    # bumps must still load, analyze, and pass the invariant checker.
+    assert TRACE_SCHEMA_VERSION == 3
+    assert SUPPORTED_SCHEMA_VERSIONS == frozenset({1, 2, 3})
     path = tmp_path / "legacy.trace.jsonl"
     lines = [json.dumps({
         "type": "header", "schema_version": 1, "events": 3, "dropped": 0,

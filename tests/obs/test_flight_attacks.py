@@ -20,6 +20,7 @@ from repro.experiments.scenarios import _BUILDERS, make_params
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
+from repro.obs.analyze import link_accounting
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
 from repro.obs.invariants import check_events
@@ -71,7 +72,7 @@ def test_secured_protocols_hold_auth_before_buffer_under_attack(protocol):
 
     # Every forgery that reached a receiver shows up as an auth-drop on the
     # attacker's outbound links, and nowhere else.
-    matrix = flight.link_matrix()
+    _tx, matrix = link_accounting(log.events)
     attacker_drops = sum(row["auth_drop"] for (src, _dst), row in
                         matrix.items() if src == attacker_id)
     honest_drops = sum(row["auth_drop"] for (src, _dst), row in

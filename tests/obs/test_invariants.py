@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.obs.events import EventLog, TraceEvent
@@ -12,10 +14,14 @@ def _ev(ts, kind, node=None, **detail):
     return TraceEvent(ts=ts, kind=kind, node=node, detail=detail)
 
 
+_frames = itertools.count()
+
+
 def _data_tx(ts, node, unit):
     # detail "kind" (the frame kind) collides with the event-kind kwarg above.
-    return TraceEvent(ts=ts, kind="link_tx", node=node,
-                      detail={"kind": "data", "size": 83, "unit": unit})
+    return TraceEvent(ts=ts, kind="causal_tx", node=node,
+                      detail={"frame": next(_frames), "kind": "data",
+                              "enq": ts, "unit": unit})
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +86,7 @@ def test_tampered_trace_is_flagged_with_location(flight_run):
 
 def test_auth_before_buffer_needs_prior_auth():
     events = [
-        _ev(0.0, "flight_meta", 1, base=False, secured=True),
+        _ev(0.0, "causal_meta", 1, base=False, secured=True),
         _ev(1.0, "pkt_auth_ok", 1, src=0, version=2, unit=0, index=3),
         _ev(1.0, "pkt_buffered", 1, src=0, version=2, unit=0, index=3),
         _ev(2.0, "pkt_buffered", 1, src=0, version=2, unit=0, index=4),
@@ -94,7 +100,7 @@ def test_auth_before_buffer_needs_prior_auth():
 
 def test_auth_before_buffer_exempts_unsecured_nodes():
     events = [
-        _ev(0.0, "flight_meta", 1, base=False, secured=False),
+        _ev(0.0, "causal_meta", 1, base=False, secured=False),
         _ev(1.0, "pkt_buffered", 1, src=0, version=2, unit=0, index=4),
     ]
     report = check_events(events)
@@ -137,7 +143,7 @@ def test_tracker_state_resets_on_crash():
 
 def test_serve_only_decoded_flags_premature_service():
     events = [
-        _ev(0.0, "flight_meta", 1, base=False, secured=True),
+        _ev(0.0, "causal_meta", 1, base=False, secured=True),
         _ev(1.0, "unit_complete", 1, unit=0),
         _data_tx(2.0, 1, unit=0),
         _data_tx(3.0, 1, unit=1),
@@ -150,9 +156,9 @@ def test_serve_only_decoded_flags_premature_service():
 
 def test_serve_only_decoded_exempts_base_and_outsiders():
     events = [
-        _ev(0.0, "flight_meta", 0, base=True, secured=True),
+        _ev(0.0, "causal_meta", 0, base=True, secured=True),
         _data_tx(1.0, 0, unit=7),
-        # node 9 never emitted flight_meta (e.g. an attacker rig): untracked.
+        # node 9 never emitted causal_meta (e.g. an attacker rig): untracked.
         _data_tx(2.0, 9, unit=7),
     ]
     report = check_events(events)

@@ -11,6 +11,7 @@ from repro.faults.plan import FaultEvent, FaultKind
 from repro.net.channel import NoLoss
 from repro.net.radio import Radio, RadioConfig
 from repro.net.topology import star_topology
+from repro.obs.analyze import link_accounting
 from repro.obs.invariants import check_events
 from repro.protocols.defense import DEFENSE_FLAGS, DefenseConfig, NeighborGuard
 from repro.protocols.lr_seluge import build_lr_seluge_network
@@ -183,8 +184,8 @@ def test_rate_limit_quarantines_dor_flooder():
     assert defended.trace.counters["defense_snack_rate_limited"] > 0
     # Battery drain plateaus: the served flood stops once quarantine bites.
     assert r_shut.counters["tx_data"] < r_open.counters["tx_data"]
-    base_tx_open = undefended.flight.tx_frame_counts()[0]
-    base_tx_shut = defended.flight.tx_frame_counts()[0]
+    base_tx_open = link_accounting(undefended.log.events)[0][0]
+    base_tx_shut = link_accounting(defended.log.events)[0][0]
     assert base_tx_shut < base_tx_open
     # The invariant holds: no quarantined neighbor was ever served.
     report = check_events(defended.log)
