@@ -42,6 +42,16 @@ def test_rs_decode_page_worst_case(benchmark, rs_code, page_blocks):
     assert decoded == page_blocks
 
 
+def test_rs_decode_page_typical(benchmark, rs_code, page_blocks):
+    """Decode after p=0.4 losses: 13 of 32 source blocks replaced by parity."""
+    encoded = rs_code.encode(page_blocks)
+    lost = np.random.default_rng(5).random(32) < 0.4
+    received = {i: encoded[i] for i in range(48) if i >= 32 or not lost[i]}
+    assert int(lost.sum()) == 13
+    decoded = benchmark(rs_code.decode, received)
+    assert decoded == page_blocks
+
+
 def test_rs_decode_page_systematic(benchmark, rs_code, page_blocks):
     encoded = rs_code.encode(page_blocks)
     received = {i: encoded[i] for i in range(32)}

@@ -1,7 +1,11 @@
 """Dense linear algebra over GF(256): elimination, rank, inversion, solving.
 
 Used by the Reed-Solomon and random-linear-code decoders.  All matrices are
-numpy uint8 arrays; row operations are vectorised through the field tables.
+numpy uint8 arrays.  Gauss-Jordan elimination makes one vectorised step per
+pivot column over the matrix and its augment side by side: the pivot row is
+scaled through the inverse table, then the column is cleared in every other
+row at once with one product-table gather (the outer product of the column
+and the pivot row) and one XOR.
 """
 
 from __future__ import annotations
@@ -21,38 +25,35 @@ def gf_rref(matrix: np.ndarray, augment: Optional[np.ndarray] = None) -> Tuple[n
 
     Row-reduces ``matrix`` (copied) and mirrors every row operation on the
     optional ``augment`` block.  Returns ``(rref, reduced_augment, rank)``.
+    The pivot of each column is its first nonzero row at or below the
+    current rank.
     """
-    a = matrix.astype(np.uint8).copy()
-    aug = augment.astype(np.uint8).copy() if augment is not None else None
-    rows, cols = a.shape
-    pivot_row = 0
+    cols = matrix.shape[1]
+    # Matrix and augment side by side, so each row operation is one call.
+    work = np.hstack([matrix, augment]) if augment is not None else matrix
+    work = work.astype(np.uint8)
+    rows = work.shape[0]
+    mul = GF256.mul_table
+    rank = 0
     for col in range(cols):
-        if pivot_row >= rows:
+        if rank >= rows:
             break
-        pivot = None
-        for r in range(pivot_row, rows):
-            if a[r, col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != pivot_row:
-            a[[pivot_row, pivot]] = a[[pivot, pivot_row]]
-            if aug is not None:
-                aug[[pivot_row, pivot]] = aug[[pivot, pivot_row]]
-        inv = GF256.inv(int(a[pivot_row, col]))
-        if inv != 1:
-            a[pivot_row] = GF256.scale_vec(inv, a[pivot_row])
-            if aug is not None:
-                aug[pivot_row] = GF256.scale_vec(inv, aug[pivot_row])
-        for r in range(rows):
-            if r != pivot_row and a[r, col] != 0:
-                factor = int(a[r, col])
-                GF256.addmul_vec(a[r], factor, a[pivot_row])
-                if aug is not None:
-                    GF256.addmul_vec(aug[r], factor, aug[pivot_row])
-        pivot_row += 1
-    return a, aug, pivot_row
+        if not work[rank, col]:
+            candidates = np.flatnonzero(work[rank:, col])
+            if candidates.size == 0:
+                continue
+            pivot = rank + int(candidates[0])
+            work[[rank, pivot]] = work[[pivot, rank]]
+        work[rank] = mul[GF256.inv_table[work[rank, col]]].take(work[rank])
+        # Every other row r gets row_r ^= work[r, col] * pivot_row; the pivot
+        # row gets factor 0, so every update reads the fixed pivot row.
+        factors = work[:, col].copy()
+        factors[rank] = 0
+        work ^= mul.take(factors, axis=0).take(work[rank], axis=1)
+        rank += 1
+    if augment is None:
+        return work, None, rank
+    return work[:, :cols], work[:, cols:], rank
 
 
 def gf_rank(matrix: np.ndarray) -> int:
@@ -67,10 +68,9 @@ def gf_invert(matrix: np.ndarray) -> np.ndarray:
     if n != m:
         raise DecodeError(f"cannot invert non-square matrix {matrix.shape}")
     identity = np.eye(n, dtype=np.uint8)
-    rref, inv, rank = gf_rref(matrix, identity)
+    _, inv, rank = gf_rref(matrix, identity)
     if rank < n:
         raise DecodeError(f"matrix is singular (rank {rank} < {n})")
-    del rref
     if inv is None:
         raise AssertionError('invariant violated: inv is not None')
     return inv
@@ -88,16 +88,11 @@ def gf_solve(coeffs: np.ndarray, payloads: np.ndarray) -> np.ndarray:
         raise DecodeError(
             f"coefficient rows ({m}) != payload rows ({payloads.shape[0]})"
         )
-    rref, reduced, rank = gf_rref(coeffs, payloads)
+    _, reduced, rank = gf_rref(coeffs, payloads)
     if rank < k:
         raise DecodeError(f"system is rank-deficient (rank {rank} < {k})")
     if reduced is None:
         raise AssertionError('invariant violated: reduced is not None')
-    # After full reduction the first k pivot rows carry the solution in order.
-    solution = np.zeros((k, payloads.shape[1]), dtype=np.uint8)
-    for r in range(rank):
-        pivot_cols = np.nonzero(rref[r])[0]
-        if len(pivot_cols) == 0:
-            continue
-        solution[pivot_cols[0]] = reduced[r]
-    return solution
+    # Rank k over k columns puts the identity in the first k rows, so they
+    # carry the solution in order.
+    return reduced[:k]

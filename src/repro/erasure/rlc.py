@@ -84,18 +84,14 @@ class RandomLinearCode(ErasureCode):
 
     def encode_indices(self, blocks: Sequence[bytes], indices: Iterable[int]) -> List[bytes]:
         """Encode only the requested indices (supports rateless operation)."""
-        data = blocks_to_array(blocks)
-        out: List[bytes] = []
-        for idx in indices:
-            if idx < self.k:
-                out.append(bytes(blocks[idx]))
-                continue
-            acc = np.zeros(data.shape[1], dtype=np.uint8)
-            row = self.coefficient_row(idx)
-            for j in range(self.k):
-                GF256.addmul_vec(acc, int(row[j]), data[j])
-            out.append(acc.tobytes())
-        return out
+        wanted = list(indices)
+        # Negative indices go to coefficient_row, which rejects them.
+        coded = [i for i in wanted if not 0 <= i < self.k]
+        rows = np.zeros((len(coded), self.k), dtype=np.uint8)
+        for r, i in enumerate(coded):
+            rows[r] = self.coefficient_row(i)
+        combos = iter(array_to_blocks(GF256.matmul(rows, blocks_to_array(blocks))))
+        return [bytes(blocks[i]) if 0 <= i < self.k else next(combos) for i in wanted]
 
     def decode(self, packets: Dict[int, bytes]) -> List[bytes]:
         if len(packets) < self.k:

@@ -8,10 +8,17 @@ makes the code MDS: *any* ``k`` of the ``n`` encoded blocks recover the page.
 LR-Seluge's protocol threshold ``k'`` may be declared larger than ``k`` to
 emulate the reception overhead of the non-MDS (Tornado-style) codes the paper
 assumes; decoding itself only ever needs ``k`` blocks.
+
+Decoding takes the ``k`` lowest-indexed packets.  Received source blocks are
+returned as they are; their contribution is XORed out of the chosen parity
+blocks, which leaves an ``e x e`` Cauchy system for the ``e`` missing source
+blocks.  The full ``k x k`` system is nonsingular, so this is its unique
+solution, found with ``e`` elimination steps instead of ``k``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -33,20 +40,14 @@ class ReedSolomonCode(ErasureCode):
             raise CodingError(f"RS over GF(256) supports n <= 256, got {n}")
         self._parity = self._cauchy_matrix(k, n - k)
         # Full row for encoded index j: identity row if j < k else parity row.
-        self._rows = np.vstack([np.eye(k, dtype=np.uint8), self._parity]) if n > k else np.eye(k, dtype=np.uint8)
+        self._rows = np.vstack([np.eye(k, dtype=np.uint8), self._parity])
 
     @staticmethod
     def _cauchy_matrix(k: int, parity_rows: int) -> np.ndarray:
-        if parity_rows == 0:
-            return np.zeros((0, k), dtype=np.uint8)
         if k + parity_rows > 256:
             raise CodingError("Cauchy construction needs k + (n-k) <= 256")
-        out = np.zeros((parity_rows, k), dtype=np.uint8)
-        for i in range(parity_rows):
-            x = k + i
-            for j in range(k):
-                out[i, j] = GF256.inv(x ^ j)
-        return out
+        xs = np.arange(k, k + parity_rows)
+        return GF256.inv_table[xs[:, None] ^ np.arange(k)]
 
     def coefficient_row(self, index: int) -> np.ndarray:
         """The GF(256) combination row that produced encoded block ``index``."""
@@ -57,23 +58,28 @@ class ReedSolomonCode(ErasureCode):
     def encode(self, blocks: Sequence[bytes]) -> List[bytes]:
         if len(blocks) != self.k:
             raise CodingError(f"expected {self.k} source blocks, got {len(blocks)}")
-        data = blocks_to_array(blocks)
-        encoded = list(blocks)  # systematic prefix, no copy of bytes needed
-        if self.n > self.k:
-            parity = GF256.matmul(self._parity, data)
-            encoded = list(blocks) + array_to_blocks(parity)
-        return encoded
+        parity = GF256.matmul(self._parity, blocks_to_array(blocks))
+        return list(blocks) + array_to_blocks(parity)  # systematic prefix as given
 
     def decode(self, packets: Dict[int, bytes]) -> List[bytes]:
         if len(packets) < self.k:
             raise DecodeError(
                 f"need at least k={self.k} packets to decode, got {len(packets)}"
             )
-        indices = sorted(packets)[: self.k]
-        # Fast path: all-systematic reception needs no algebra.
-        if indices == list(range(self.k)):
-            return [packets[i] for i in indices]
-        coeffs = np.stack([self._rows[i] for i in indices])
-        payloads = blocks_to_array([packets[i] for i in indices])
-        solved = gf_solve(coeffs, payloads)
-        return array_to_blocks(solved)
+        indices = sorted(packets)
+        if indices[0] < 0 or indices[-1] >= self.n:
+            raise DecodeError(
+                f"packet indices must lie in [0, {self.n}), got {indices[0]}..{indices[-1]}"
+            )
+        chosen = indices[: self.k]
+        if len({len(packets[i]) for i in chosen}) != 1:
+            raise DecodeError(f"packets {chosen} differ in length")
+        received = bisect_left(chosen, self.k)  # chosen[:received] are source blocks
+        if received == self.k:
+            return [packets[i] for i in chosen]
+        data = blocks_to_array([packets[i] for i in chosen])
+        rows = self._parity[[i - self.k for i in chosen[received:]]]
+        rhs = data[received:] ^ GF256.matmul(rows[:, chosen[:received]], data[:received])
+        missing = sorted(set(range(self.k)).difference(chosen[:received]))
+        solved = iter(array_to_blocks(gf_solve(rows[:, missing], rhs)))
+        return [packets[i] if i in packets else next(solved) for i in range(self.k)]

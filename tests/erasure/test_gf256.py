@@ -75,20 +75,25 @@ def test_generator_order_255():
     assert value == 1  # full cycle
 
 
-@given(elems, st.binary(min_size=1, max_size=64))
-def test_scale_vec_matches_scalar_mul(scalar, data):
-    vec = np.frombuffer(data, dtype=np.uint8)
-    out = GF256.scale_vec(scalar, vec)
-    assert [int(x) for x in out] == [GF256.mul(scalar, int(v)) for v in vec]
+def _carryless_product(a, b):
+    """Shift-and-add multiply modulo 0x11d, independent of the field tables."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+    return out
 
 
-@given(elems, st.binary(min_size=8, max_size=8), st.binary(min_size=8, max_size=8))
-def test_addmul_vec(scalar, t, v):
-    target = np.frombuffer(t, dtype=np.uint8).copy()
-    vec = np.frombuffer(v, dtype=np.uint8)
-    expect = [int(a) ^ GF256.mul(scalar, int(b)) for a, b in zip(target, vec)]
-    GF256.addmul_vec(target, scalar, vec)
-    assert [int(x) for x in target] == expect
+def test_product_and_inverse_tables_match_shift_and_add():
+    expect = [[_carryless_product(a, b) for b in range(256)] for a in range(256)]
+    assert GF256.mul_table.dtype == np.uint8
+    assert GF256.mul_table.tolist() == expect
+    for a in range(1, 256):
+        assert expect[a][int(GF256.inv_table[a])] == 1
 
 
 def test_matmul_against_naive():
@@ -108,10 +113,3 @@ def test_matmul_shape_mismatch():
     with pytest.raises(CodingError):
         GF256.matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
 
-
-def test_vandermonde():
-    v = GF256.vandermonde([1, 2, 3], 4)
-    assert v.shape == (3, 4)
-    for i, x in enumerate([1, 2, 3]):
-        for j in range(4):
-            assert int(v[i, j]) == GF256.pow(x, j)

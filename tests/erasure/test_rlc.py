@@ -74,6 +74,20 @@ def test_negative_index_rejected():
         code.coefficient_row(-1)
 
 
+def test_encode_indices_negative_index_rejected():
+    code = RandomLinearCode(4, 8)
+    with pytest.raises(CodingError):
+        code.encode_indices(_blocks(4), [0, -1])
+
+
+def test_encode_indices_keeps_requested_order():
+    code = RandomLinearCode(4, 8, seed=6)
+    blocks = _blocks(4)
+    encoded = code.encode(blocks)
+    assert code.encode_indices(blocks, [7, 2, 5, 2]) == [encoded[7], encoded[2], encoded[5], encoded[2]]
+    assert code.encode_indices(blocks, []) == []
+
+
 def test_wrong_block_count_rejected():
     code = RandomLinearCode(4, 8)
     with pytest.raises(CodingError):

@@ -71,6 +71,34 @@ def test_too_few_packets_rejected():
         code.decode({0: encoded[0], 1: encoded[1]})
 
 
+def test_negative_index_rejected():
+    code = ReedSolomonCode(4, 8)
+    encoded = code.encode(_blocks(4))
+    packets = {i: encoded[i] for i in (1, 2, 3)}
+    packets[-1] = encoded[7]  # would silently pose as the last parity row
+    with pytest.raises(DecodeError):
+        code.decode(packets)
+
+
+def test_index_beyond_n_rejected():
+    code = ReedSolomonCode(4, 8)
+    encoded = code.encode(_blocks(4))
+    packets = {i: encoded[i] for i in (0, 1, 2)}
+    packets[8] = encoded[7]
+    with pytest.raises(DecodeError):
+        code.decode(packets)
+
+
+@pytest.mark.parametrize("received", [(0, 1, 2, 3), (0, 1, 2, 5)])
+def test_short_payload_rejected(received):
+    code = ReedSolomonCode(4, 8)
+    encoded = code.encode(_blocks(4))
+    packets = {i: encoded[i] for i in received}
+    packets[2] = packets[2][:-1]
+    with pytest.raises(DecodeError):
+        code.decode(packets)
+
+
 def test_parameter_validation():
     with pytest.raises(CodingError):
         ReedSolomonCode(0, 4)
